@@ -33,6 +33,22 @@ echo "== tier-1: build + tests"
 cargo build --release
 cargo test -q
 
+echo "== fleet_chaos: 50 consecutive runs, zero failures"
+# The in-process fleet chaos tests once failed about one run in three (a
+# drain report pairing shard counters and router folds from different
+# instants); loop them so a reintroduced race cannot pass on a lucky run.
+FLEET_CHAOS=$(cargo test -q -p corun-fleet --test fleet_chaos --no-run --message-format=json |
+    sed -n 's/.*"executable":"\([^"]*\)".*/\1/p')
+FLEET_CHAOS_LOG=$(mktemp)
+for i in $(seq 1 50); do
+    "$FLEET_CHAOS" -q >"$FLEET_CHAOS_LOG" 2>&1 || {
+        echo "FAIL: fleet_chaos failed on run $i of 50:" >&2
+        cat "$FLEET_CHAOS_LOG" >&2
+        exit 1
+    }
+done
+rm -f "$FLEET_CHAOS_LOG"
+
 echo "== sanitizer-feature tests"
 cargo test -q -p corun-verify -p apu-sim --features corun-verify/sanitize
 

@@ -4,12 +4,11 @@ use crate::device::{Device, DeviceParams, PerDevice};
 use crate::freq::{FreqTable, PackageFreqs};
 use crate::memory::MemoryParams;
 use crate::power::PackagePowerParams;
-use serde::{Deserialize, Serialize};
 
 /// CPU multiprogramming parameters (only exercised by baselines that let the
 /// OS time-share the CPU among several jobs, like the paper's Default
 /// scheduler in the 16-job study).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MultiprogParams {
     /// Per-extra-job context-switch efficiency loss: with `k` jobs sharing
     /// the CPU each advances at `(1/k) / (1 + cs_overhead * (k - 1))` of its
@@ -24,7 +23,7 @@ pub struct MultiprogParams {
 }
 
 /// The complete static description of a simulated machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// DVFS ladders for both devices.
     pub freqs: PackageFreqs,

@@ -1,13 +1,11 @@
 //! Device identity and per-device execution parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// One of the two processor types on the integrated package.
 ///
 /// The paper (Definition 2.1) calls these "two types of units A and B"; on
 /// the evaluation platform they are the 4-core CPU and the integrated GPU of
 /// an Intel Ivy Bridge i7-3520M.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Device {
     /// The multicore CPU complex.
     Cpu,
@@ -56,7 +54,7 @@ impl std::fmt::Display for Device {
 ///
 /// Used throughout the simulator for anything that exists once per processor
 /// type (frequencies, demands, achieved bandwidth, power, ...).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PerDevice<T> {
     pub cpu: T,
     pub gpu: T,
@@ -117,7 +115,7 @@ impl PerDevice<f64> {
 /// `flops` of compute and `bytes` of DRAM traffic; compute rate scales with
 /// frequency, DRAM bandwidth scales only weakly with frequency (request
 /// concurrency grows slightly with core clock).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceParams {
     /// Peak compute throughput in GFLOP/s per GHz of core clock.
     pub gflops_per_ghz: f64,

@@ -40,7 +40,6 @@ use crate::freq::FreqSetting;
 use crate::governor::Governor;
 use crate::power::{DeviceActivity, PowerTrace};
 use crate::work::JobSpec;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Consecutive zero-length wake-ups the event core tolerates before
@@ -125,7 +124,7 @@ pub trait Dispatcher {
 }
 
 /// Completion record of one job execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Dispatcher-chosen tag.
     pub tag: usize,
@@ -147,7 +146,7 @@ impl JobRecord {
 }
 
 /// Result of a full engine run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Time from start until the last job completed.
     pub makespan_s: f64,

@@ -8,10 +8,9 @@
 
 use crate::device::Device;
 use crate::freq::FreqSetting;
-use serde::{Deserialize, Serialize};
 
 /// One timestamped event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Simulated time, seconds.
     pub at_s: f64,
@@ -20,7 +19,7 @@ pub struct Event {
 }
 
 /// Event payloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// A job was dispatched to a device.
     Dispatch {

@@ -32,6 +32,7 @@
 //! them as the `SRV001` diagnostic). See `docs/FAULTS.md` for the full
 //! grammar.
 
+use crate::hash::{splitmix64, unit};
 use std::collections::HashMap;
 
 /// A planned machine crash.
@@ -422,25 +423,11 @@ impl FaultInjector {
     }
 }
 
-/// splitmix64 finalizer — the same deterministic generator the workspace
-/// `rand` shim seeds from.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Combine components into one well-mixed 64-bit value.
 fn mix(parts: &[u64]) -> u64 {
     parts
         .iter()
         .fold(0x243F_6A88_85A3_08D3, |acc, &p| splitmix64(acc ^ p))
-}
-
-/// Map a hash to a uniform float in `[0, 1)`.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

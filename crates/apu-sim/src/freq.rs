@@ -5,13 +5,12 @@
 //! Schedulers work with *level indices*; the tables map them to GHz.
 
 use crate::device::{Device, PerDevice};
-use serde::{Deserialize, Serialize};
 
 /// An index into a device's frequency table. Level 0 is the lowest frequency.
 pub type FreqLevel = usize;
 
 /// The frequency ladder of one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FreqTable {
     levels_ghz: Vec<f64>,
 }
@@ -109,7 +108,7 @@ impl FreqTable {
 /// On the integrated package the CPU complex and the GPU each have a single
 /// clock domain, so a schedule associates every (co-)run segment with one
 /// `FreqSetting`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FreqSetting {
     /// CPU frequency level index.
     pub cpu: FreqLevel,
@@ -155,7 +154,7 @@ impl std::fmt::Display for FreqSetting {
 }
 
 /// Frequency tables for both devices of a package.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackageFreqs {
     pub cpu: FreqTable,
     pub gpu: FreqTable,

@@ -43,6 +43,7 @@ pub mod events;
 pub mod faults;
 pub mod freq;
 pub mod governor;
+pub mod hash;
 pub mod memory;
 pub mod power;
 #[cfg(feature = "sanitize")]

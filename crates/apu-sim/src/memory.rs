@@ -27,10 +27,9 @@
 //!    (paper: max CPU degradation ~65% vs. ~45% for the GPU).
 
 use crate::device::{Device, PerDevice};
-use serde::{Deserialize, Serialize};
 
 /// Which arbitration law the shared controller follows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ContentionKind {
     /// The calibrated two-stage model: cross-device latency inflation, then
     /// weighted water-filling at saturation (see module docs). Matches the
@@ -46,10 +45,9 @@ pub enum ContentionKind {
 }
 
 /// Parameters of the shared-memory contention model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryParams {
     /// Which arbitration law to apply.
-    #[serde(default)]
     pub kind: ContentionKind,
     /// Total DRAM controller capacity in GB/s when both devices pull.
     pub total_bw_gbps: f64,
@@ -67,7 +65,7 @@ pub struct MemoryParams {
 }
 
 /// Outcome of arbitrating two simultaneous bandwidth demands.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arbitration {
     /// Bandwidth each device actually achieves, GB/s.
     pub achieved: PerDevice<f64>,

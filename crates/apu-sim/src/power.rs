@@ -9,10 +9,9 @@
 
 use crate::device::{Device, PerDevice};
 use crate::freq::{FreqSetting, PackageFreqs};
-use serde::{Deserialize, Serialize};
 
 /// Instantaneous activity state of one device, as seen by the power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceActivity {
     /// Compute-pipeline utilization in `[0, 1]` (0 = idle / fully stalled).
     pub compute_util: f64,
@@ -29,7 +28,7 @@ impl DeviceActivity {
 }
 
 /// Package-level power parameters beyond the per-device ones.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PackagePowerParams {
     /// Constant uncore power (ring, LLC, system agent, display), watts.
     pub uncore_w: f64,
@@ -93,7 +92,7 @@ impl PowerModel<'_> {
 }
 
 /// A time series of package-power samples at a fixed interval.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PowerTrace {
     /// Sampling interval, seconds.
     pub interval_s: f64,

@@ -3,10 +3,9 @@
 
 use crate::device::{Device, PerDevice};
 use crate::engine::RunReport;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate statistics of one execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// Makespan, seconds.
     pub makespan_s: f64,

@@ -9,11 +9,10 @@
 
 use crate::device::Device;
 use crate::device::DeviceParams;
-use serde::{Deserialize, Serialize};
 
 /// One execution phase of a job (roughly: one OpenCL kernel invocation
 /// region with a stable compute/memory mix).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseWork {
     /// Total useful compute in GFLOP.
     pub flops: f64,
@@ -101,7 +100,7 @@ impl PhaseWork {
 /// A complete job: named sequence of phases plus low-level texture
 /// (demand jitter) that makes ground-truth runs richer than what the
 /// steady-state predictive model sees.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Human-readable job name (e.g. the Rodinia benchmark name).
     pub name: String,

@@ -8,7 +8,7 @@
 //! that contention. `CORUN_FLEET_BENCH_JOBS` / `CORUN_FLEET_BENCH_SHARDS`
 //! scale the run up on bigger boxes.
 
-use corun_fleet::{start_local_shards, Fleet, FleetConfig};
+use corun_fleet::{start_local_shards, Fleet, FleetConfig, NetConfig};
 use corun_serve::{Service, ServiceConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -57,7 +57,15 @@ fn fleet_rate(
     jobs: usize,
 ) -> f64 {
     let tpl = template(cache);
-    let backends = start_local_shards(&tpl, shards, machines_per_shard, None, |_| None);
+    let backends = start_local_shards(
+        &tpl,
+        shards,
+        machines_per_shard,
+        None,
+        |_| None,
+        NetConfig::default(),
+        None,
+    );
     let mut cfg = FleetConfig::new(shards, machines_per_shard, 15.0 * shards as f64);
     cfg.queue_high_water = 10_000;
     cfg.submit_burst = 256;

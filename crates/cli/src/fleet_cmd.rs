@@ -26,10 +26,10 @@ use crate::args::Args;
 use corun_core::WallClock;
 use corun_fleet::net::{FaultyRaw, TcpRaw};
 use corun_fleet::{
-    lint_netchaos, over_local, start_local_shards, Circuit, Fleet, FleetConfig, FleetMetrics,
-    NetConfig, NetFaultPlan, PlacementKind, RawTransport, RemoteShard, RpcShard, ShardBackend,
+    lint_netchaos, start_local_shards, Circuit, Fleet, FleetConfig, FleetMetrics, NetConfig,
+    NetFaultPlan, PlacementKind, RawTransport, RemoteShard, RpcShard, ShardBackend,
 };
-use corun_serve::{Service, ServiceConfig};
+use corun_serve::ServiceConfig;
 use std::sync::Arc;
 
 /// Split a `--addrs` list on commas, rejecting empties.
@@ -88,37 +88,6 @@ fn connect_remote_shards(
         .collect()
 }
 
-/// Start local shard services behind the full RPC + fault stack (the
-/// `--netchaos` local mode). Returns the backends plus the service
-/// handles — the RPC layer does not own its service, so the caller must
-/// shut them down after the fleet finishes.
-fn start_chaos_local_shards(
-    template: &ServiceConfig,
-    shards: usize,
-    machines_per_shard: usize,
-    journal_dir: Option<&std::path::Path>,
-    plan: &NetFaultPlan,
-    net: NetConfig,
-) -> (Vec<Box<dyn ShardBackend>>, Vec<Arc<Service>>) {
-    let mut backends: Vec<Box<dyn ShardBackend>> = Vec::with_capacity(shards);
-    let mut services = Vec::with_capacity(shards);
-    for s in 0..shards {
-        let mut cfg = template.clone();
-        cfg.machines = machines_per_shard;
-        cfg.journal_path = journal_dir.map(|d| d.join(format!("shard-{s}.jsonl")));
-        let svc = Arc::new(Service::start(cfg));
-        backends.push(Box::new(over_local(
-            Arc::clone(&svc),
-            Some(plan.clone()),
-            s,
-            net,
-            Arc::new(WallClock::new()),
-        )));
-        services.push(svc);
-    }
-    (backends, services)
-}
-
 /// `corun fleet [status]`.
 pub fn cmd_fleet(args: &Args) -> Result<(), String> {
     if args.positional.get(1).map(String::as_str) == Some("status") {
@@ -172,8 +141,6 @@ pub fn cmd_fleet(args: &Args) -> Result<(), String> {
     };
     let plan = load_netchaos(args)?;
 
-    // Chaos-local services outlive the fleet; shut down after `finish`.
-    let mut services: Vec<Arc<Service>> = Vec::new();
     let backends = match &addrs {
         Some(addrs) => connect_remote_shards(addrs, net, plan.as_ref())?,
         None => {
@@ -191,26 +158,15 @@ pub fn cmd_fleet(args: &Args) -> Result<(), String> {
                 std::fs::create_dir_all(dir).map_err(|e| format!("--journal-dir {dir:?}: {e}"))?;
             }
             println!("starting {shards} local shards x {machines_per_shard} machines ...");
-            if let Some(plan) = &plan {
-                let (backends, svcs) = start_chaos_local_shards(
-                    &template,
-                    shards,
-                    machines_per_shard,
-                    journal_dir.as_deref(),
-                    plan,
-                    net,
-                );
-                services = svcs;
-                backends
-            } else {
-                start_local_shards(
-                    &template,
-                    shards,
-                    machines_per_shard,
-                    journal_dir.as_deref(),
-                    |_| None,
-                )
-            }
+            start_local_shards(
+                &template,
+                shards,
+                machines_per_shard,
+                journal_dir.as_deref(),
+                |_| None,
+                net,
+                plan.as_ref(),
+            )
         }
     };
 
@@ -264,9 +220,6 @@ pub fn cmd_fleet(args: &Args) -> Result<(), String> {
     if addrs.is_none() {
         fleet.begin_shutdown();
         fleet.finish();
-        for svc in &services {
-            svc.shutdown();
-        }
     }
     match failure {
         Some(e) => Err(e),

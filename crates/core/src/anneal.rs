@@ -15,10 +15,9 @@ use crate::schedule::{Assignment, Schedule};
 use apu_sim::Device;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Annealing parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnnealConfig {
     /// Power cap.
     pub cap_w: f64,
@@ -50,7 +49,7 @@ impl AnnealConfig {
 }
 
 /// Annealing outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnnealOutcome {
     /// Best schedule found.
     pub schedule: Schedule,

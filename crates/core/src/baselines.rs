@@ -11,7 +11,6 @@ use apu_sim::Device;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Random co-scheduling: jobs are placed on a random device in a random
 /// order; occasionally a job is left to run alone ("it just leaves the idle
@@ -45,7 +44,7 @@ pub fn random_schedule(model: &dyn CoRunModel, seed: u64, solo_prob: f64) -> Sch
 }
 
 /// The Default scheduler's device partition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DefaultPartition {
     /// Jobs sent to the GPU, in rank order (most GPU-preferring first).
     pub gpu: Vec<JobId>,

@@ -15,10 +15,9 @@ use crate::freqgrid::{best_solo_run, feasible_pair_settings};
 use crate::model::{CoRunModel, JobId};
 use crate::schedule::{Assignment, Schedule};
 use apu_sim::Device;
-use serde::{Deserialize, Serialize};
 
 /// Result of the branch-and-bound search.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BnbResult {
     /// The best schedule found.
     pub schedule: Schedule,
@@ -31,7 +30,7 @@ pub struct BnbResult {
 }
 
 /// Search configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BnbConfig {
     /// Power cap (infinite to disable).
     pub cap_w: f64,

@@ -13,10 +13,9 @@
 use crate::freqgrid::{best_solo_run, feasible_pair_settings};
 use crate::model::{CoRunModel, JobId};
 use apu_sim::Device;
-use serde::{Deserialize, Serialize};
 
 /// Per-job decomposition of the bound, for reporting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BoundReport {
     /// The bound itself, seconds.
     pub t_low_s: f64,

@@ -23,6 +23,7 @@ use crate::evaluate::evaluate;
 use crate::model::{CoRunModel, JobId};
 use crate::schedule::Schedule;
 use crate::theorem::corun_beneficial;
+use apu_sim::hash::fnv1a;
 use std::fmt::Write as _;
 
 /// Certificate format revision; bump on any schema change so stale
@@ -206,7 +207,7 @@ impl Certificate {
         }
         let _ = writeln!(w, "l_prime ={lp}");
         let _ = writeln!(out);
-        let digest = fnv64(out.as_bytes());
+        let digest = fnv1a(out.as_bytes());
         let _ = writeln!(out, "[checksum]");
         let _ = writeln!(out, "fnv64 = {digest:016x}");
         out
@@ -234,7 +235,7 @@ pub fn parse_certificate(text: &str) -> Result<ParsedCertificate, String> {
     let body_len = text
         .find("[checksum]")
         .ok_or("missing [checksum] section")?;
-    let computed_fnv = fnv64(&text.as_bytes()[..body_len]);
+    let computed_fnv = fnv1a(&text.as_bytes()[..body_len]);
 
     let mut sections: Vec<(String, Vec<(String, String)>)> = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -372,16 +373,6 @@ pub fn parse_certificate(text: &str) -> Result<ParsedCertificate, String> {
         stored_fnv: stored_fnv.ok_or("missing fnv64 in [checksum]")?,
         computed_fnv,
     })
-}
-
-/// FNV-1a over raw bytes, 64-bit.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -11,10 +11,9 @@
 
 use crate::model::{CoRunModel, JobId};
 use apu_sim::Device;
-use serde::{Deserialize, Serialize};
 
 /// Completion outcome of a chain co-run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainOutcome {
     /// When the long job finishes.
     pub long_finish_s: f64,

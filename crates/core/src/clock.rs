@@ -10,14 +10,15 @@
 //!   the OS monotonic clock and is constructed once at the I/O edge
 //!   (daemon startup); [`ManualClock`] is a hand-advanced clock for
 //!   tests and replay harnesses.
-//! - [`DetRng`] — a seeded splitmix64 stream, the same finalizer used
-//!   by `RetryPolicy::backoff_s` and the fleet placement ring, so
-//!   every draw is a pure function of the seed.
+//! - [`DetRng`] — a seeded splitmix64 stream over `apu_sim::hash`, the
+//!   module `RetryPolicy::backoff_s` and the fleet placement ring also
+//!   hash with, so every draw is a pure function of the seed.
 //!
 //! The `SRV011` source lint (`corun lint --wall-clock`) enforces that
 //! `Instant::now`/`SystemTime::now`/`thread_rng` appear only on lines
 //! carrying an explicit `corun-lint: allow(wall-clock)` marker.
 
+use apu_sim::hash::{splitmix64, unit, GOLDEN_GAMMA};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -120,16 +121,14 @@ impl DetRng {
 
     /// Next raw 64-bit draw (splitmix64).
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let z = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        z
     }
 
     /// Next draw mapped to `[0, 1)` with 53 bits of precision.
     pub fn next_unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        unit(self.next_u64())
     }
 
     /// Derive an independent child stream (one per shard, one per

@@ -12,10 +12,9 @@
 use crate::model::{CoRunModel, JobId};
 use crate::schedule::Schedule;
 use apu_sim::Device;
-use serde::{Deserialize, Serialize};
 
 /// One steady segment of the evaluated timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Segment start, seconds.
     pub t0: f64,
@@ -30,7 +29,7 @@ pub struct Segment {
 }
 
 /// Result of evaluating a schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
     /// Predicted makespan, seconds.
     pub makespan_s: f64,

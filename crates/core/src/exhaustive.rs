@@ -12,10 +12,9 @@ use crate::evaluate::evaluate;
 use crate::model::{CoRunModel, JobId};
 use crate::schedule::{Assignment, Schedule};
 use apu_sim::Device;
-use serde::{Deserialize, Serialize};
 
 /// Result of the exhaustive enumeration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExhaustiveResult {
     /// Best cap-compliant schedule and its makespan.
     pub best: (Schedule, f64),

@@ -10,10 +10,9 @@ use crate::evaluate::EvalReport;
 use crate::freqgrid::best_solo_run;
 use crate::model::CoRunModel;
 use apu_sim::Device;
-use serde::{Deserialize, Serialize};
 
 /// Fairness view of one evaluated schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FairnessReport {
     /// Per-job slowdown: finish time divided by the job's best cap-feasible
     /// standalone time (>= 1 even for the luckiest job, since waiting

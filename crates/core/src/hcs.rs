@@ -21,10 +21,9 @@ use crate::model::{CoRunModel, JobId};
 use crate::schedule::{Assignment, Schedule, SoloRun};
 use crate::theorem::corun_beneficial;
 use apu_sim::Device;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the heuristic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HcsConfig {
     /// Package power cap in watts (`f64::INFINITY` disables capping).
     pub cap_w: f64,
@@ -52,7 +51,7 @@ impl HcsConfig {
 }
 
 /// Processor-preference category of a job (step 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Preference {
     /// Runs meaningfully faster on the CPU.
     Cpu,
@@ -63,7 +62,7 @@ pub enum Preference {
 }
 
 /// Diagnostics of an HCS run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HcsOutcome {
     /// The produced schedule.
     pub schedule: Schedule,

@@ -9,7 +9,6 @@
 //! where the numbers come from).
 
 use apu_sim::Device;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a job within a batch: its index.
 pub type JobId = usize;
@@ -73,7 +72,7 @@ pub trait CoRunModel {
 ///
 /// Layout: `standalone[i][device][level]`, `deg` holds the CPU-side and
 /// GPU-side degradation tables for every ordered pair and level pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableModel {
     names: Vec<String>,
     k_cpu: usize,

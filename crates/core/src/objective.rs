@@ -6,10 +6,9 @@
 //! come for free, and the HCS+ refinement can optimize any of the three.
 
 use crate::evaluate::EvalReport;
-use serde::{Deserialize, Serialize};
 
 /// What a refinement/comparison pass optimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Objective {
     /// Minimize the makespan (the paper's objective).
     Makespan,

@@ -17,11 +17,11 @@
 use crate::freqgrid::{best_level_against, best_solo_run};
 use crate::hcs::{categorize, HcsConfig, Preference};
 use crate::model::{CoRunModel, JobId};
+use apu_sim::hash::{mix64, unit, GOLDEN_GAMMA};
 use apu_sim::Device;
-use serde::{Deserialize, Serialize};
 
 /// A job plus its arrival time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arrival {
     /// The job.
     pub job: JobId,
@@ -31,7 +31,7 @@ pub struct Arrival {
 
 /// Bounded-retry configuration for requeueing jobs lost to machine
 /// crashes or injected failures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Retries allowed per job before it is dead-lettered.
     pub max_retries: u32,
@@ -82,14 +82,11 @@ pub enum RequeueOutcome {
 /// splitmix64-style hash of `(a, b)` mapped to `[0, 1)`, for
 /// deterministic backoff jitter (no RNG state to persist or replay).
 fn hash_unit(a: u64, b: u64) -> f64 {
-    let mut z = a
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    let z = a
+        .wrapping_mul(GOLDEN_GAMMA)
         .wrapping_add(b)
         .wrapping_add(0x243F_6A88_85A3_08D3);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
+    unit(mix64(z))
 }
 
 /// The online dispatch policy.
@@ -103,7 +100,7 @@ pub struct OnlinePolicy {
 }
 
 /// One dispatch decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlinePick {
     /// The chosen job.
     pub job: JobId,
@@ -355,7 +352,7 @@ impl OnlinePolicy {
 }
 
 /// Result of a model-level online replay.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OnlineReport {
     /// Time from t=0 to the last completion.
     pub makespan_s: f64,

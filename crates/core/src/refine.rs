@@ -21,10 +21,9 @@ use crate::schedule::Schedule;
 use apu_sim::Device;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Refinement parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RefineConfig {
     /// Power cap (must match the cap the schedule was built for).
     pub cap_w: f64,
@@ -52,7 +51,7 @@ impl RefineConfig {
 }
 
 /// Outcome of refinement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RefineOutcome {
     /// The refined schedule.
     pub schedule: Schedule,

@@ -2,11 +2,10 @@
 
 use crate::model::JobId;
 use apu_sim::Device;
-use serde::{Deserialize, Serialize};
 
 /// One scheduled execution: a job with its frequency level on the device it
 /// is queued for (the paper's "associate each job with a frequency level").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Assignment {
     /// The job.
     pub job: JobId,
@@ -16,7 +15,7 @@ pub struct Assignment {
 
 /// A solo execution appended after the co-run queues drain: the job runs
 /// with the other device left idle (how the heuristic handles `S_seq`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SoloRun {
     /// The job.
     pub job: JobId,
@@ -27,7 +26,7 @@ pub struct SoloRun {
 }
 
 /// A complete co-schedule.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Schedule {
     /// CPU co-run queue, executed in order.
     pub cpu: Vec<Assignment>,

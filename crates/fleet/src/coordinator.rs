@@ -10,14 +10,13 @@
 //! lifting on their own worker threads (in-process mode) or in separate
 //! daemons (remote mode).
 
-use crate::fleetlog::{
-    repair_fleetlog_tail, replay_fleetlog, scan_fleetlog, FleetLog, FleetRecord, RecoveredLoc,
-};
+use crate::fleetlog::{replay_fleetlog, scan_fleetlog, FleetLog, FleetRecord, RecoveredLoc};
 use crate::net::RpcSnapshot;
 use crate::placement::{HashRing, LeastLoaded, Placement, ShardView};
 use crate::router::{FleetJob, FleetJobId, JobLoc, Router};
 use crate::shard::{JobPhase, ShardBackend, ShardMetrics, SubmitOutcome};
 use corun_core::budget::{partition_cluster_cap, ShardDemand};
+use corun_serve::repair_tail;
 use corun_verify::{Code, Diagnostic, Report, Severity};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -401,8 +400,7 @@ impl Fleet {
             }
         }
         let caps_w = rec.caps_w.clone().unwrap_or_else(|| vec![0.0; n]);
-        repair_fleetlog_tail(&path, &scan)
-            .map_err(|e| format!("cannot repair fleet journal tail: {e}"))?;
+        repair_tail(&path, &scan).map_err(|e| format!("cannot repair fleet journal tail: {e}"))?;
         let mut log = FleetLog::open_append(&path, scan.records.len() as u64)
             .map_err(|e| format!("cannot reopen fleet journal: {e}"))?;
         log.append(&FleetRecord::Recovered)
@@ -532,6 +530,12 @@ impl Fleet {
         self.resolve_in_doubt();
         self.push_submissions();
         let folded = self.fold_completions();
+        if folded > 0 && self.router.terminal() == self.router.jobs() {
+            // The round polled shard metrics *before* folding. Poll again
+            // on the round that drains the fleet, so a report taken now
+            // pairs the folds with shard counters no older than them.
+            self.poll_shards();
+        }
         if self.cfg.paranoid {
             self.router.check_books();
         }
@@ -659,7 +663,8 @@ impl Fleet {
         }
     }
 
-    /// Finish shutdown (joins in-process shard workers).
+    /// Finish shutdown on every backend. In-process services drain and
+    /// join their workers when the fleet (their last handle) drops.
     pub fn finish(&mut self) {
         for shard in &mut self.shards {
             shard.finish();

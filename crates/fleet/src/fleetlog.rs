@@ -15,8 +15,8 @@
 //! instead of running a second copy.
 
 use corun_serve::json::{obj, Json};
-use corun_serve::Journal;
-use corun_verify::{Code, Diagnostic, Report, Severity};
+use corun_serve::{scan_log, Journal, LogScan};
+use corun_verify::Code;
 use std::io;
 use std::path::Path;
 
@@ -277,115 +277,16 @@ impl FleetLog {
     }
 }
 
-/// What a scan of the log on disk found.
-#[derive(Debug, Default)]
-pub struct FleetScan {
-    /// Every parsed record, in order. A torn final line (the crash
-    /// write) is tolerated and excluded.
-    pub records: Vec<FleetRecord>,
-    /// `FLT009` findings. Errors abandon recovery; the torn-tail case is
-    /// a warning.
-    pub report: Report,
-    /// Byte length of the valid prefix (through the last good line).
-    /// [`repair_fleetlog_tail`] truncates the file to this before the
-    /// log is reopened for appends.
-    pub valid_len: u64,
-    /// The last good line is missing its terminating newline (the crash
-    /// cut the write after the payload): appending without repair would
-    /// concatenate the next record onto it.
-    pub needs_newline: bool,
-}
+/// What a scan of the log on disk found (see [`LogScan`]).
+pub type FleetScan = LogScan<FleetRecord>;
 
-/// Read and parse the log. A malformed *final* line is a torn crash
-/// write (warning, dropped); a malformed line with records after it
-/// means real corruption (error — recovery must not guess).
+/// Read and parse the log with the shared line-log scanner under
+/// `FLT009`: a malformed *final* line is a torn crash write (warning,
+/// dropped, cut off by [`corun_serve::repair_tail`]); a malformed line
+/// with records after it means real corruption (error — recovery must
+/// not guess).
 pub fn scan_fleetlog(path: &Path) -> FleetScan {
-    let mut scan = FleetScan::default();
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            scan.report.push(
-                Diagnostic::new(
-                    Code::Flt009,
-                    path.display().to_string(),
-                    format!("cannot read fleet journal: {e}"),
-                )
-                .with_severity(Severity::Error),
-            );
-            return scan;
-        }
-    };
-    let mut pos: u64 = 0;
-    let mut line_no = 0usize;
-    let mut chunks = text.split_inclusive('\n').peekable();
-    while let Some(chunk) = chunks.next() {
-        pos += chunk.len() as u64;
-        let is_last = chunks.peek().is_none();
-        let has_newline = chunk.ends_with('\n');
-        let line = chunk.trim_end_matches(['\n', '\r']);
-        if line.trim().is_empty() {
-            if has_newline {
-                scan.valid_len = pos;
-            }
-            continue;
-        }
-        line_no += 1;
-        match FleetRecord::from_json(line) {
-            Ok(rec) => {
-                if let Some(rec) = rec {
-                    scan.records.push(rec);
-                }
-                // Unknown record types advance the valid prefix too:
-                // they are well-formed lines from a newer writer.
-                scan.valid_len = pos;
-                scan.needs_newline = !has_newline;
-            }
-            Err(e) if is_last => {
-                scan.report.push(
-                    Diagnostic::new(
-                        Code::Flt009,
-                        format!("{}:{line_no}", path.display()),
-                        format!("torn final record dropped: {e}"),
-                    )
-                    .with_severity(Severity::Warning),
-                );
-            }
-            Err(e) => {
-                scan.report.push(
-                    Diagnostic::new(
-                        Code::Flt009,
-                        format!("{}:{line_no}", path.display()),
-                        format!("corrupt fleet journal record: {e}"),
-                    )
-                    .with_severity(Severity::Error),
-                );
-                return scan;
-            }
-        }
-    }
-    scan
-}
-
-/// Truncate a torn tail off the log (and restore a missing final
-/// newline) so the file ends exactly at a record boundary before it is
-/// reopened for appends. Returns whether the file was modified.
-pub fn repair_fleetlog_tail(path: &Path, scan: &FleetScan) -> io::Result<bool> {
-    use std::io::Write as _;
-    let mut changed = false;
-    let len = std::fs::metadata(path)?.len();
-    if len > scan.valid_len {
-        let f = std::fs::OpenOptions::new().write(true).open(path)?;
-        f.set_len(scan.valid_len)?;
-        f.sync_data()?;
-        changed = true;
-    }
-    if scan.needs_newline {
-        let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
-        f.write_all(b"\n")?;
-        f.sync_data()?;
-        changed = true;
-    }
-    Ok(changed)
+    scan_log(path, Code::Flt009, FleetRecord::from_json)
 }
 
 /// Where recovery concluded one fleet job stands.
@@ -558,6 +459,7 @@ pub fn replay_fleetlog(records: &[FleetRecord]) -> Result<RecoveredFleet, String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corun_serve::repair_tail;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -650,7 +552,7 @@ mod tests {
         assert_eq!(scan.report.len(), 1);
 
         // Repair truncates the fragment; appends land clean after it.
-        assert!(repair_fleetlog_tail(&path, &scan).expect("repair"));
+        assert!(repair_tail(&path, &scan).expect("repair"));
         {
             let mut log = FleetLog::open_append(&path, scan.records.len() as u64).expect("reopen");
             log.append(&FleetRecord::Recovered).expect("append");
@@ -664,6 +566,111 @@ mod tests {
         let scan = scan_fleetlog(&path);
         assert!(scan.report.has_errors());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn scan_recovers_the_prefix_of_a_log_torn_inside_a_utf8_character() {
+        let path = temp_log("utf8");
+        {
+            let mut log = FleetLog::create(&path, 1, 10.0).expect("create");
+            log.append(&FleetRecord::Admit {
+                id: 0,
+                key: "k#0".into(),
+                spec: "srad x0.05\n".into(),
+            })
+            .expect("append");
+            log.append(&FleetRecord::Admit {
+                id: 1,
+                key: "café#1".into(),
+                spec: "srad x0.05\n".into(),
+            })
+            .expect("append");
+        }
+        // The crash cut the last record between the two bytes of `é`.
+        let bytes = std::fs::read(&path).expect("read");
+        let cut = bytes.len() - bytes.rsplit(|&b| b == 0xc3).next().expect("é").len();
+        std::fs::write(&path, &bytes[..cut]).expect("tear");
+        let scan = scan_fleetlog(&path);
+        assert!(!scan.report.has_errors(), "{}", scan.report.render_human());
+        assert_eq!(scan.records.len(), 2, "meta + the intact admit survive");
+        assert!(scan.torn_at.is_some());
+        assert!(repair_tail(&path, &scan).expect("repair"));
+        assert_eq!(scan_fleetlog(&path).records.len(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The service journal and the fleetlog share one scanner, so every
+    /// kind of damage must read the same way through both.
+    #[test]
+    fn both_logs_read_damage_alike_through_the_shared_scanner() {
+        use corun_serve::{scan_journal, Journal, LogScan, Record};
+
+        /// (records, errors, warnings, torn tail, needs newline)
+        type Shape = (usize, bool, usize, bool, bool);
+        fn shape<R>(scan: &LogScan<R>) -> Shape {
+            let warnings = scan.report.warnings().count();
+            let errors = scan.report.has_errors();
+            (
+                scan.records.len(),
+                errors,
+                warnings,
+                scan.torn_at.is_some(),
+                scan.needs_newline,
+            )
+        }
+        let journal = temp_log("table-journal");
+        let fleetlog = temp_log("table-fleetlog");
+        {
+            let mut j = Journal::create(&journal, 1).expect("create");
+            j.append(&Record::CapChange { cap_w: 12.0 })
+                .expect("append");
+            j.append(&Record::CapChange { cap_w: 15.0 })
+                .expect("append");
+            let mut f = FleetLog::create(&fleetlog, 1, 10.0).expect("create");
+            f.append(&FleetRecord::Recovered).expect("append");
+            f.append(&FleetRecord::Recovered).expect("append");
+        }
+        let pristine = [
+            std::fs::read(&journal).expect("read"),
+            std::fs::read(&fleetlog).expect("read"),
+        ];
+        let after_first_line = |b: &[u8]| b.iter().position(|&c| c == b'\n').expect("line") + 1;
+        type Damage = fn(&[u8], usize) -> Vec<u8>;
+        let cases: [(&str, Damage, Shape); 4] = [
+            (
+                "torn tail",
+                |b, _| [b, &b"{\"t\":\"rec"[..]].concat(),
+                (3, false, 1, true, false),
+            ),
+            (
+                "missing final newline",
+                |b, _| b[..b.len() - 1].to_vec(),
+                (3, false, 0, false, true),
+            ),
+            (
+                "mid-file corruption",
+                |b, at| [&b[..at], &b"{not json\n"[..], &b[at..]].concat(),
+                (1, true, 0, false, false),
+            ),
+            (
+                "unknown record type",
+                |b, _| [b, &b"{\"t\":\"from_the_future\"}\n"[..]].concat(),
+                (3, false, 1, false, false),
+            ),
+        ];
+        for (name, damage, want) in cases {
+            for (path, clean) in [&journal, &fleetlog].into_iter().zip(&pristine) {
+                std::fs::write(path, damage(clean, after_first_line(clean))).expect("damage");
+                let got = if path == &journal {
+                    shape(&scan_journal(path))
+                } else {
+                    shape(&scan_fleetlog(path))
+                };
+                assert_eq!(got, want, "{name}: {}", path.display());
+            }
+        }
+        std::fs::remove_file(&journal).ok();
+        std::fs::remove_file(&fleetlog).ok();
     }
 
     #[test]

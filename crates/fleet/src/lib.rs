@@ -16,7 +16,7 @@
 //!   power cap is split across shards proportionally to admitted demand
 //!   and rebalanced on a cadence; the sum of handed-out caps never
 //!   exceeds the cluster cap (checked by `FLT004` every round).
-//! * **Recovery** ([`shard`]) — a crashed shard restarts from its
+//! * **Recovery** ([`net`]) — a crashed shard restarts from its
 //!   `corun_serve::journal` with no lost and no double-dispatched jobs;
 //!   a shard lost *without* a journal gets its jobs re-placed through
 //!   the router's single `requeue_lost` edge.
@@ -36,10 +36,10 @@
 //!   intent-without-confirm jobs come back pinned in doubt and are
 //!   settled by keyed resubmission, never double-dispatched.
 //!
-//! Shards run in-process ([`LocalShard`], see [`start_local_shards`]) or
-//! as remote `corun serve` daemons over the line-JSON protocol
-//! ([`RemoteShard`]). `corun fleet` is the CLI surface; see
-//! `docs/FLEET.md`.
+//! Shards run in-process ([`start_local_shards`]) or as remote `corun
+//! serve` daemons ([`RemoteShard`]); either way the coordinator drives
+//! them through the same [`RpcShard`] line-JSON stack. `corun fleet` is
+//! the CLI surface; see `docs/FLEET.md`.
 
 pub mod coordinator;
 pub mod fleetlog;
@@ -50,8 +50,8 @@ pub mod shard;
 
 pub use coordinator::{Circuit, Fleet, FleetConfig, FleetMetrics, PlacementKind};
 pub use fleetlog::{
-    repair_fleetlog_tail, replay_fleetlog, scan_fleetlog, FleetLog, FleetRecord, FleetScan,
-    RecoveredFleet, RecoveredFleetJob, RecoveredLoc, FLEETLOG_FORMAT_VERSION,
+    replay_fleetlog, scan_fleetlog, FleetLog, FleetRecord, FleetScan, RecoveredFleet,
+    RecoveredFleetJob, RecoveredLoc, FLEETLOG_FORMAT_VERSION,
 };
 pub use net::{
     lint_netchaos, over_local, NetConfig, NetError, NetFaultPlan, Partition, RawTransport,
@@ -59,6 +59,4 @@ pub use net::{
 };
 pub use placement::{HashRing, LeastLoaded, Placement, ShardView};
 pub use router::{FleetJob, FleetJobId, JobLoc, Router, Steal};
-pub use shard::{
-    start_local_shards, JobPhase, LocalShard, ShardBackend, ShardMetrics, SubmitOutcome,
-};
+pub use shard::{start_local_shards, JobPhase, ShardBackend, ShardMetrics, SubmitOutcome};

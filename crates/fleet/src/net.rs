@@ -97,6 +97,13 @@ pub trait RawTransport: Send {
     /// Drop any broken connection state and re-establish.
     fn reconnect(&mut self) -> Result<(), NetError>;
 
+    /// Bring a shard back after it was seen dead: restart it if this
+    /// transport owns the service, else (the default) just reconnect to
+    /// a daemon restarted out of band.
+    fn revive(&mut self) -> Result<(), NetError> {
+        self.reconnect()
+    }
+
     /// Human-readable peer name for error messages.
     fn peer(&self) -> String;
 
@@ -213,7 +220,8 @@ impl RawTransport for TcpRaw {
 
 /// An in-process shard behind the same string protocol: requests go
 /// through [`handle_request`] exactly as a daemon's would, so the fault
-/// layer and the fencing checks exercise identical codepaths in tests.
+/// layer and the fencing checks exercise identical codepaths in-process
+/// and over TCP.
 pub struct LocalRaw {
     service: Arc<Service>,
 }
@@ -236,6 +244,30 @@ impl RawTransport for LocalRaw {
     }
 
     fn reconnect(&mut self) -> Result<(), NetError> {
+        Ok(())
+    }
+
+    /// Restart a crashed service from its journal. A service with live
+    /// workers was only unreachable (a partition, not a crash), so it is
+    /// left alone; a dead one without a journal cannot be recovered.
+    fn revive(&mut self) -> Result<(), NetError> {
+        if self.service.metrics().workers_alive > 0 {
+            return Ok(());
+        }
+        let mut cfg = self.service.config().clone();
+        if cfg.journal_path.is_none() {
+            return Err(NetError::Unreachable(
+                "shard has no journal to recover from".into(),
+            ));
+        }
+        // The workers are already dead; shutdown only reaps the threads.
+        self.service.shutdown();
+        cfg.recover = true;
+        // The injected faults already fired in the dead incarnation;
+        // replaying them would crash the recovered shard at the same
+        // simulated instants forever.
+        cfg.fault_plan = None;
+        self.service = Arc::new(Service::start(cfg));
         Ok(())
     }
 
@@ -518,6 +550,11 @@ impl<T: RawTransport> RawTransport for FaultyRaw<T> {
         // A fresh connection cannot deliver frames from the old one.
         self.stale = None;
         self.inner.reconnect()
+    }
+
+    fn revive(&mut self) -> Result<(), NetError> {
+        self.stale = None;
+        self.inner.revive()
     }
 
     fn peer(&self) -> String {
@@ -808,8 +845,9 @@ impl RemoteShard {
 }
 
 /// An in-process shard behind the full RPC + fault stack: the service
-/// answers through [`handle_request`], faults per `plan`, fencing and
-/// retries exactly as over TCP. The test harness for everything here.
+/// answers through [`handle_request`], faults per `plan` (none when
+/// `None`), fencing and retries exactly as over TCP. Every in-process
+/// shard runs this way (see [`crate::start_local_shards`]).
 pub fn over_local(
     service: Arc<Service>,
     plan: Option<NetFaultPlan>,
@@ -917,7 +955,7 @@ impl<T: RawTransport> ShardBackend for RpcShard<T> {
     }
 
     fn recover(&mut self, cap_w: f64) -> Result<(), String> {
-        self.raw.reconnect().map_err(|e| e.to_string())?;
+        self.raw.revive().map_err(|e| e.to_string())?;
         let r = self
             .call(vec![("op", Json::Str("ping".into()))])
             .map_err(|e| e.to_string())?;
@@ -935,8 +973,8 @@ impl<T: RawTransport> ShardBackend for RpcShard<T> {
     }
 
     fn finish(&mut self) {
-        // Remote daemons outlive the coordinator; local test services
-        // are owned (and joined) by whoever holds the Arc.
+        // Remote daemons outlive the coordinator; an in-process service
+        // drains and joins its workers when its last handle drops.
     }
 
     fn kind(&self) -> &'static str {
@@ -1000,6 +1038,65 @@ mod tests {
         assert!(plan.is_none());
         assert!(report.has_errors());
         assert!(report.render_human().contains("netchaos:2"));
+    }
+
+    fn revive_cache_dir() -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("corun-net-revive-cache-{}", std::process::id()))
+    }
+
+    /// A one-machine service whose machine dies at 2 simulated seconds
+    /// when `crash`, journaling to `journal` when given.
+    fn small_service(journal: Option<std::path::PathBuf>, crash: bool) -> Arc<Service> {
+        let machine = apu_sim::MachineConfig::ivy_bridge();
+        let mut cfg = corun_serve::ServiceConfig::fast(&machine);
+        cfg.characterization.grid_points = 3;
+        cfg.characterization.micro_duration_s = 1.0;
+        cfg.machines = 1;
+        cfg.cache_dir = Some(revive_cache_dir());
+        cfg.journal_path = journal;
+        cfg.fault_plan =
+            crash.then(|| apu_sim::FaultPlan::parse("@chaos seed=3 crash=0:2\n").expect("plan"));
+        let service = Arc::new(Service::start(cfg));
+        if crash {
+            service.submit_spec("srad x0.05 *10\n").expect("submit");
+            service.wait_idle();
+            assert_eq!(
+                service.metrics().workers_alive,
+                0,
+                "the machine must be dead"
+            );
+        }
+        service
+    }
+
+    #[test]
+    fn local_raw_revive_restarts_only_a_dead_journaled_service() {
+        // Live workers: the shard was merely unreachable; nothing restarts.
+        let live = small_service(None, false);
+        let mut raw = LocalRaw::new(Arc::clone(&live));
+        raw.revive().expect("a live service needs no revival");
+        assert!(Arc::ptr_eq(raw.service(), &live));
+
+        // Dead without a journal: nothing to recover from.
+        let mut raw = LocalRaw::new(small_service(None, true));
+        assert!(raw.revive().is_err());
+
+        // Dead with a journal: restarted from it, faults not replayed.
+        let journal =
+            std::env::temp_dir().join(format!("corun-net-revive-{}.jsonl", std::process::id()));
+        let dead = small_service(Some(journal.clone()), true);
+        let mut raw = LocalRaw::new(Arc::clone(&dead));
+        raw.revive().expect("revive from the journal");
+        let revived = raw.service();
+        assert!(!Arc::ptr_eq(revived, &dead));
+        assert!(revived.config().recover);
+        assert!(revived.config().fault_plan.is_none());
+        assert_eq!(revived.epoch(), dead.epoch() + 1, "one recovery boundary");
+        assert_eq!(revived.job_count(), 10, "every journaled job recovered");
+        assert!(revived.metrics().workers_alive > 0);
+        revived.shutdown();
+        std::fs::remove_file(&journal).ok();
+        std::fs::remove_dir_all(revive_cache_dir()).ok();
     }
 
     #[test]

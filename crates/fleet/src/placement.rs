@@ -10,6 +10,8 @@
 //! * [`LeastLoaded`] — pick the live shard with the shallowest load;
 //!   used directly, or as the ring's fallback when the owner is down.
 
+use apu_sim::hash::{fnv1a, mix64};
+
 /// What a placement policy sees about the fleet when it places one key:
 /// per-shard liveness and a load figure (coordinator backlog + observed
 /// shard queue depth).
@@ -50,19 +52,11 @@ pub trait Placement: Send {
     fn name(&self) -> &'static str;
 }
 
-/// FNV-1a (the repo's standard dependency-free hash, same constants as
-/// `corun_serve::state`) with a splitmix64 finalizer: raw FNV of short,
-/// similar strings clusters in the high bits, and ring lookups compare
+/// FNV-1a with a splitmix64 finalizer: raw FNV of short, similar
+/// strings clusters in the high bits, and ring lookups compare
 /// whole-word order, so the points need avalanche.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
+fn point(bytes: &[u8]) -> u64 {
+    mix64(fnv1a(bytes))
 }
 
 /// Consistent-hash ring with virtual nodes.
@@ -93,7 +87,7 @@ impl HashRing {
         let mut ring = Vec::with_capacity(shards * vnodes);
         for shard in 0..shards {
             for v in 0..vnodes {
-                let point = fnv1a(format!("shard-{shard}#vnode-{v}").as_bytes());
+                let point = point(format!("shard-{shard}#vnode-{v}").as_bytes());
                 ring.push((point, shard));
             }
         }
@@ -109,7 +103,7 @@ impl HashRing {
         if self.ring.is_empty() {
             return None;
         }
-        let h = fnv1a(key.as_bytes());
+        let h = point(key.as_bytes());
         // First ring point clockwise of the key's hash, wrapping.
         let idx = self.ring.partition_point(|&(p, _)| p < h);
         let (_, shard) = self.ring[idx % self.ring.len()];
@@ -122,7 +116,7 @@ impl HashRing {
         if self.ring.is_empty() {
             return None;
         }
-        let h = fnv1a(key.as_bytes());
+        let h = point(key.as_bytes());
         let start = self.ring.partition_point(|&(p, _)| p < h);
         for i in 0..self.ring.len() {
             let (_, shard) = self.ring[(start + i) % self.ring.len()];

@@ -1,11 +1,13 @@
 //! Shard backends: the coordinator's uniform view of one shard, whether
 //! it is an in-process [`corun_serve::Service`] or a remote `corun
-//! serve` daemon reached over the line-JSON protocol.
+//! serve` daemon — both reached over the line-JSON protocol.
 
-use crate::net::RpcSnapshot;
+use crate::net::{over_local, NetConfig, NetFaultPlan, RpcSnapshot};
 use apu_sim::FaultPlan;
-use corun_serve::{JobState, Service, ServiceConfig, SubmitError};
+use corun_core::WallClock;
+use corun_serve::{Service, ServiceConfig};
 use std::path::Path;
+use std::sync::Arc;
 
 /// What happened to one submission attempt.
 #[derive(Debug)]
@@ -100,9 +102,9 @@ pub trait ShardBackend: Send {
     /// Push a rebalanced power cap.
     fn set_cap(&mut self, cap_w: f64) -> Result<(), String>;
 
-    /// Bring a dead shard back under `cap_w`: restart the in-process
-    /// service with journal recovery, or reconnect to an externally
-    /// restarted daemon and push the cap.
+    /// Bring a dead shard back under `cap_w`: restart a crashed
+    /// in-process service with journal recovery, or reconnect to an
+    /// externally restarted daemon, then push the cap.
     fn recover(&mut self, cap_w: f64) -> Result<(), String>;
 
     /// Ask the shard to stop accepting work and drain.
@@ -122,147 +124,29 @@ pub trait ShardBackend: Send {
         false
     }
 
-    /// Transport-level RPC counters (zero for in-process shards without
-    /// an injected transport).
+    /// Transport-level RPC counters (zero for backends without a
+    /// transport).
     fn rpc_stats(&self) -> RpcSnapshot {
         RpcSnapshot::default()
     }
 }
 
-/// An in-process shard: a [`Service`] plus the config to rebuild it for
-/// journal recovery.
-pub struct LocalShard {
-    cfg: ServiceConfig,
-    service: Option<Service>,
-}
-
-impl LocalShard {
-    /// Start the shard's service.
-    pub fn start(cfg: ServiceConfig) -> LocalShard {
-        LocalShard {
-            service: Some(Service::start(cfg.clone())),
-            cfg,
-        }
-    }
-
-    /// Direct access for tests.
-    pub fn service(&self) -> Option<&Service> {
-        self.service.as_ref()
-    }
-}
-
-impl ShardBackend for LocalShard {
-    fn submit(&mut self, key: &str, spec: &str) -> SubmitOutcome {
-        let Some(service) = &self.service else {
-            return SubmitOutcome::Down("shard stopped".into());
-        };
-        match service.submit_spec_keyed(spec, key) {
-            Ok(ids) => SubmitOutcome::Accepted(ids),
-            Err(SubmitError::QueueFull { retry_after_s, .. }) => {
-                SubmitOutcome::Backpressure { retry_after_s }
-            }
-            Err(SubmitError::ShuttingDown) => SubmitOutcome::Down("shutting down".into()),
-            Err(e @ (SubmitError::Lint(_) | SubmitError::Infeasible { .. })) => {
-                SubmitOutcome::Refused(e.to_string())
-            }
-        }
-    }
-
-    fn job_phase(&mut self, local_id: usize) -> Result<JobPhase, String> {
-        let Some(service) = &self.service else {
-            return Err("shard stopped".into());
-        };
-        Ok(match service.job_status(local_id) {
-            None => JobPhase::Unknown,
-            Some(s) => match s.state {
-                JobState::Done { .. } => JobPhase::Done,
-                JobState::DeadLetter { .. } => JobPhase::DeadLetter,
-                JobState::Rejected => JobPhase::Rejected,
-                JobState::Queued | JobState::Running { .. } => JobPhase::Pending,
-            },
-        })
-    }
-
-    fn metrics(&mut self) -> Result<ShardMetrics, String> {
-        let Some(service) = &self.service else {
-            return Err("shard stopped".into());
-        };
-        let m = service.metrics();
-        Ok(ShardMetrics {
-            queue_depth: m.queue_depth,
-            submitted: m.submitted,
-            completed: m.completed,
-            dead_lettered: m.dead_lettered,
-            workers_alive: m.workers_alive,
-            machines: m.machines,
-            cap_w: m.cap_w,
-            cap_violations: m.cap_violations,
-            cap_samples: m.cap_samples,
-        })
-    }
-
-    fn set_cap(&mut self, cap_w: f64) -> Result<(), String> {
-        match &self.service {
-            Some(service) => {
-                service.set_cap_w(cap_w);
-                Ok(())
-            }
-            None => Err("shard stopped".into()),
-        }
-    }
-
-    fn recover(&mut self, cap_w: f64) -> Result<(), String> {
-        if self.cfg.journal_path.is_none() {
-            return Err("shard has no journal to recover from".into());
-        }
-        if let Some(old) = self.service.take() {
-            // The workers are already dead (that is why we are here);
-            // shutdown only reaps the threads.
-            old.begin_shutdown();
-            old.shutdown();
-        }
-        let mut cfg = self.cfg.clone();
-        cfg.recover = true;
-        if cap_w.is_finite() && cap_w > 0.0 {
-            cfg.cap_w = cap_w;
-        }
-        // The injected faults already fired in the dead incarnation;
-        // replaying them would crash the recovered shard at the same
-        // simulated instants forever.
-        cfg.fault_plan = None;
-        self.cfg = cfg.clone();
-        self.service = Some(Service::start(cfg));
-        Ok(())
-    }
-
-    fn begin_shutdown(&mut self) {
-        if let Some(service) = &self.service {
-            service.begin_shutdown();
-        }
-    }
-
-    fn finish(&mut self) {
-        if let Some(service) = self.service.take() {
-            service.shutdown();
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        "local"
-    }
-}
-
 /// Start `shards` in-process shards from one [`ServiceConfig`]
-/// template. Shard `s` journals to `journal_dir/shard-s.jsonl` (when a
-/// dir is given) and runs `fault_plan(s)`. Shards start sequentially so
-/// the first pays the characterization cost and the rest hit the cache
-/// (set `template.cache_dir`).
+/// template, each behind the full RPC stack ([`over_local`]) exactly as
+/// a remote daemon is driven. Shard `s` journals to
+/// `journal_dir/shard-s.jsonl` (when a dir is given), runs
+/// `fault_plan(s)`, and sees network faults from `net_plan` (none when
+/// `None`). Shards start sequentially so the first pays the
+/// characterization cost and the rest hit the cache (set
+/// `template.cache_dir`).
 pub fn start_local_shards(
     template: &ServiceConfig,
     shards: usize,
     machines_per_shard: usize,
     journal_dir: Option<&Path>,
     mut fault_plan: impl FnMut(usize) -> Option<FaultPlan>,
+    net: NetConfig,
+    net_plan: Option<&NetFaultPlan>,
 ) -> Vec<Box<dyn ShardBackend>> {
     (0..shards)
         .map(|s| {
@@ -270,11 +154,14 @@ pub fn start_local_shards(
             cfg.machines = machines_per_shard;
             cfg.journal_path = journal_dir.map(|d| d.join(format!("shard-{s}.jsonl")));
             cfg.fault_plan = fault_plan(s);
-            Box::new(LocalShard::start(cfg)) as Box<dyn ShardBackend>
+            let service = Arc::new(Service::start(cfg));
+            let clock = Arc::new(WallClock::new());
+            Box::new(over_local(service, net_plan.cloned(), s, net, clock)) as Box<dyn ShardBackend>
         })
         .collect()
 }
 
-// The remote backend lives in [`crate::net`]: `RemoteShard` is
-// `RpcShard<TcpRaw>` — deadline-bounded line-JSON RPC with reconnect,
+// The shard backend itself lives in [`crate::net`]: `RpcShard` over
+// `TcpRaw` (a remote daemon, `RemoteShard`) or over `LocalRaw` (an
+// in-process service) — deadline-bounded line-JSON RPC with reconnect,
 // fencing-epoch checks, and per-shard latency counters.

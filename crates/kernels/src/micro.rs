@@ -12,7 +12,6 @@
 //! solo DRAM demand at a frequency setting, produce a kernel that hits it.
 
 use apu_sim::{Device, FreqSetting, JobSpec, MachineConfig, PhaseWork};
-use serde::{Deserialize, Serialize};
 
 /// Bytes moved per work-item per outer iteration: two 4-byte loads plus one
 /// 4-byte store (Figure 4, steps 1 and 3).
@@ -26,7 +25,7 @@ pub const FLOPS_PER_INNER_ITER: f64 = 2.0;
 pub const FLOPS_PER_ITEM_FIXED: f64 = 3.0;
 
 /// Raw knobs of the Figure-4 kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MicroParams {
     /// Number of work-items (one per array element).
     pub items: u64,
@@ -54,7 +53,7 @@ impl MicroParams {
 }
 
 /// A synthesized instance of the micro-benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MicroKernel {
     /// The Figure-4 knobs this instance corresponds to.
     pub params: MicroParams,

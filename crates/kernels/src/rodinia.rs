@@ -18,13 +18,12 @@
 //! a tenth of a percent.
 
 use apu_sim::{Device, JobSpec, MachineConfig, PhaseWork};
-use serde::{Deserialize, Serialize};
 
 /// Overlap coefficient shared by all calibrated programs.
 pub const OVERLAP: f64 = 0.2;
 
 /// LLC behaviour of one program.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LlcProfile {
     /// Working-set size, MiB.
     pub footprint_mib: f64,
@@ -37,7 +36,7 @@ pub struct LlcProfile {
 }
 
 /// Declarative definition of one calibrated program.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProgramDef {
     /// Benchmark name.
     pub name: &'static str,

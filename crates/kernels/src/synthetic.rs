@@ -5,10 +5,9 @@
 use apu_sim::{JobSpec, MachineConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Ranges a generated program's character is drawn from.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SyntheticSpace {
     /// Target standalone time on the preferred device at max frequency,
     /// seconds.

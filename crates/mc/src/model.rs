@@ -10,6 +10,7 @@
 //! interleavings which reach the same configuration by different routes
 //! fingerprint identically and merge in the visited set.
 
+use apu_sim::hash::Fnv;
 use apu_sim::Device;
 use corun_core::{JobId, RetryPolicy};
 use corun_serve::journal::{replay, Record, Recovered};
@@ -409,32 +410,4 @@ pub fn memo_key(node: &Node, recovered: &Recovered) -> u64 {
     h.u64(node.kills as u64);
     h.u64(node.crashes as u64);
     h.finish()
-}
-
-/// FNV-1a, 64-bit; deterministic across runs so visited-set membership
-/// (and therefore traces) reproduce exactly.
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-    }
-    pub(crate) fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    pub(crate) fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.bytes() {
-            self.byte(b);
-        }
-    }
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
 }

@@ -15,10 +15,9 @@
 use crate::surface::{DegradationSurface, Grid2D};
 use apu_sim::{run_solo, run_with_background, Device, FreqSetting, MachineConfig, PerDevice};
 use kernels::MicroKernel;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a characterization sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CharacterizeConfig {
     /// CPU frequency levels at which stages are measured.
     pub cpu_stage_levels: Vec<usize>,
@@ -60,7 +59,7 @@ impl CharacterizeConfig {
 }
 
 /// One characterized frequency stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
     /// The frequency setting this stage was measured at.
     pub setting: FreqSetting,

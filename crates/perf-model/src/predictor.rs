@@ -15,11 +15,10 @@
 use crate::characterize::Stage;
 use crate::profile::{idle_package_power, JobProfile};
 use apu_sim::{Device, FreqSetting, MachineConfig, PerDevice};
-use serde::{Deserialize, Serialize};
 
 /// A co-run performance + power predictor assembled from characterization
 /// stages and the machine description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StagedPredictor {
     stages: Vec<Stage>,
     /// Distinct stage CPU clocks, sorted ascending.

@@ -24,14 +24,13 @@ use crate::predictor::StagedPredictor;
 use crate::profile::JobProfile;
 use apu_sim::{run_solo, run_with_background, Device, JobSpec, MachineConfig, PerDevice};
 use kernels::MicroKernel;
-use serde::{Deserialize, Serialize};
 
 /// Solo demands of the probe stressors, GB/s.
 pub const PROBE_DEMANDS_GBPS: [f64; 3] = [2.25, 4.5, 9.0];
 
 /// LLC vulnerability of one job: excess degradation (beyond the bandwidth
 /// model) as a function of co-runner demand, per device the job runs on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LlcVulnerability {
     /// Per device: `(probe demand GB/s, excess degradation)` knots, sorted
     /// by demand. Interpolation passes through the origin and clamps past

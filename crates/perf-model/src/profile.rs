@@ -8,11 +8,10 @@
 //! simulator. An analytic fast path is also provided for tests.
 
 use apu_sim::{run_solo, Device, FreqSetting, JobSpec, MachineConfig, PerDevice};
-use serde::{Deserialize, Serialize};
 
 /// Standalone measurements of one job on one device across that device's
 /// frequency ladder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Run time (seconds) indexed by frequency level.
     pub time_s: Vec<f64>,
@@ -29,7 +28,7 @@ impl DeviceProfile {
 }
 
 /// Full standalone profile of one job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobProfile {
     /// Job name.
     pub name: String,

@@ -8,10 +8,9 @@
 
 use crate::profile::JobProfile;
 use apu_sim::{Device, MachineConfig, PerDevice};
-use serde::{Deserialize, Serialize};
 
 /// Frequency sensitivity of one job on one device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sensitivity {
     /// Measured speedup from the lowest to the highest level
     /// (`t_floor / t_max`).

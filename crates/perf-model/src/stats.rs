@@ -1,7 +1,5 @@
 //! Error statistics for model validation (paper Figures 7 and 8).
 
-use serde::{Deserialize, Serialize};
-
 /// Relative error of a prediction against ground truth, `|pred - real| / real`.
 ///
 /// # Panics
@@ -13,7 +11,7 @@ pub fn relative_error(pred: f64, real: f64) -> f64 {
 
 /// A histogram of error rates over fixed buckets, as the paper plots in
 /// Figures 7 and 8.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorHistogram {
     /// Bucket edges; bucket `k` covers `[edges[k], edges[k+1])`, with a
     /// final open bucket `[edges.last(), inf)`.

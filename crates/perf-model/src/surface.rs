@@ -3,10 +3,9 @@
 //! queried by bilinear interpolation (paper Figures 5 and 6).
 
 use apu_sim::{Device, PerDevice};
-use serde::{Deserialize, Serialize};
 
 /// A rectangular grid of values over two demand axes with bilinear lookup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid2D {
     /// CPU-demand axis, GB/s, strictly increasing.
     pub cpu_axis: Vec<f64>,
@@ -102,7 +101,7 @@ fn bracket(axis: &[f64], x: f64) -> (usize, usize, f64) {
 
 /// The degradation surfaces of one frequency stage: how much a CPU job and a
 /// GPU job each slow down as a function of both solo demands.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradationSurface {
     /// `deg.cpu` is the CPU job's degradation surface (Figure 5); `deg.gpu`
     /// the GPU job's (Figure 6). Values are fractional slowdowns (0.2 = 20%).

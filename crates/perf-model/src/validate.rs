@@ -7,10 +7,9 @@
 
 use crate::surface::Grid2D;
 use apu_sim::PerDevice;
-use serde::{Deserialize, Serialize};
 
 /// Result of leave-one-out validation over one grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LooReport {
     /// Mean absolute interpolation error at interior nodes (degradation
     /// units, e.g. 0.03 = 3 percentage points).

@@ -24,17 +24,12 @@ pub const CACHE_FORMAT_VERSION: u32 = 1;
 
 /// A stable fingerprint of the machine + characterization parameters.
 ///
-/// FNV-1a over [`CACHE_FORMAT_VERSION`] plus the serde-debug rendering of
+/// FNV-1a over [`CACHE_FORMAT_VERSION`] plus the `Debug` rendering of
 /// both structures: not cryptographic, just collision-resistant enough to
 /// key cache files.
 pub fn fingerprint(cfg: &MachineConfig, ccfg: &CharacterizeConfig) -> u64 {
     let text = format!("v{CACHE_FORMAT_VERSION}|{cfg:?}|{ccfg:?}");
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    apu_sim::hash::fnv1a(text.as_bytes())
 }
 
 /// Cache file path for a fingerprint inside `dir`.

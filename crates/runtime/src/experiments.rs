@@ -6,10 +6,9 @@ use crate::pipeline::CoScheduleRuntime;
 use apu_sim::{Bias, FreqSetting, JobSpec, MachineConfig};
 use crossbeam::thread;
 use perf_model::{relative_error, ErrorHistogram, JobProfile, StagedPredictor};
-use serde::{Deserialize, Serialize};
 
 /// Results of a Figure-10/11-style speedup study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupStudy {
     /// Random baseline, averaged over seeds (GPU-biased governor).
     pub random_avg_s: f64,

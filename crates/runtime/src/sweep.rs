@@ -7,10 +7,9 @@
 
 use crate::pipeline::{CoScheduleRuntime, RuntimeConfig};
 use apu_sim::{Bias, JobSpec, MachineConfig};
-use serde::{Deserialize, Serialize};
 
 /// A scheduling method included in a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Random baseline (average over a few seeds), GPU-biased governor.
     Random,
@@ -43,7 +42,7 @@ impl Method {
 }
 
 /// One sweep cell: a method at a cap.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
     /// Power cap, watts.
     pub cap_w: f64,
@@ -58,7 +57,7 @@ pub struct SweepCell {
 }
 
 /// Sweep result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
     /// All cells, in (cap, method) order.
     pub cells: Vec<SweepCell>,

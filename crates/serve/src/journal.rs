@@ -19,7 +19,7 @@
 
 use crate::json::{obj, Json};
 use apu_sim::Device;
-use corun_verify::{Code, Diagnostic, Report};
+use corun_verify::{Code, Diagnostic, Report, Severity};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -367,16 +367,7 @@ pub struct Journal {
 impl Journal {
     /// Create (truncate) a fresh journal and write the `Meta` header.
     pub fn create(path: &Path, machines: usize) -> std::io::Result<Journal> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        let mut j = Journal {
-            file,
-            path: path.to_path_buf(),
-            seq: 0,
-        };
+        let mut j = Journal::create_raw(path)?;
         j.append(&Record::Meta {
             version: JOURNAL_FORMAT_VERSION,
             machines,
@@ -501,10 +492,11 @@ pub struct Recovered {
 /// Read a journal file into records, tolerantly.
 ///
 /// Problems surface as SRV007 diagnostics in the returned report rather
-/// than hard errors: an unreadable file or a bad/missing version header
-/// yields no records (error severity — the journal cannot be trusted); a
-/// line that fails to parse ends the usable prefix (warning — the tail
-/// was torn by a kill mid-write, everything before it is intact).
+/// than hard errors: an unreadable file, a bad/missing version header,
+/// or a corrupt record with committed records after it is an error (the
+/// journal cannot be trusted); a corrupt *final* record is a warning
+/// (the tail was torn by a kill mid-write, everything before it is
+/// intact).
 ///
 /// Records that parse are then run through [`check_causality`]: a
 /// journal whose records are individually valid but causally impossible
@@ -516,19 +508,22 @@ pub fn read_journal(path: &Path) -> (Vec<Record>, Report) {
     (scan.records, scan.report)
 }
 
-/// Everything [`scan_journal`] learned about a journal file, including
-/// the byte geometry recovery needs to repair a torn tail.
+/// Everything [`scan_log`] learned about a line log on disk — a service
+/// journal or the fleet coordinator's log — including the byte geometry
+/// recovery needs to repair a torn tail.
 #[derive(Debug)]
-pub struct JournalScan {
-    /// The records of the intact prefix (after the version gate).
-    pub records: Vec<Record>,
-    /// SRV007/SRV010 diagnostics; `has_errors()` means the journal must
-    /// be abandoned.
+pub struct LogScan<R> {
+    /// The records of the intact prefix.
+    pub records: Vec<R>,
+    /// Diagnostics under the log's code; `has_errors()` means the log
+    /// must be abandoned.
     pub report: Report,
     /// Byte length of the intact prefix: every complete, parseable line
     /// lies below this offset.
     pub valid_len: u64,
-    /// Byte offset of the first corrupt record, if the scan hit one.
+    /// Byte offset of the torn final record, if the scan hit one.
+    /// Mid-file corruption is an error instead and leaves this `None`,
+    /// so [`repair_tail`] can never truncate committed records.
     pub torn_at: Option<u64>,
     /// The last intact record was not newline-terminated (the kill
     /// landed between the payload and the `\n`); [`repair_tail`]
@@ -536,130 +531,144 @@ pub struct JournalScan {
     pub needs_newline: bool,
 }
 
-/// Scan a journal file byte-accurately: parse the intact prefix, locate
-/// the first corrupt record (if any) by byte offset, and run the header
-/// and causality gates. [`read_journal`] is the records-and-report view
-/// of this; recovery uses the full scan to [`repair_tail`] before
-/// reopening the file for appends.
-pub fn scan_journal(path: &Path) -> JournalScan {
-    let mut report = Report::new();
-    let loc = path.display().to_string();
-    let mut scan = JournalScan {
+/// A scanned service journal.
+pub type JournalScan = LogScan<Record>;
+
+/// Scan a line log byte-accurately, decoding each line with `decode`
+/// (`Ok(None)` = a well-formed record of an unknown type, skipped with a
+/// warning). A corrupt final line is a torn crash write: a warning, and
+/// [`repair_tail`] cuts it off. A corrupt line with any record after it
+/// is real corruption: an error, and the scan stops there. Lines are
+/// decoded from bytes one at a time, so a tear inside a multi-byte UTF-8
+/// character spoils only its own line. Every diagnostic carries `code`.
+pub fn scan_log<R>(
+    path: &Path,
+    code: Code,
+    decode: impl Fn(&str) -> Result<Option<R>, String>,
+) -> LogScan<R> {
+    let mut scan = LogScan {
         records: Vec::new(),
         report: Report::new(),
         valid_len: 0,
         torn_at: None,
         needs_newline: false,
     };
-    let file = match File::open(path) {
-        Ok(f) => f,
+    let loc = path.display().to_string();
+    let error =
+        |at: String, msg: String| Diagnostic::new(code, at, msg).with_severity(Severity::Error);
+    let mut reader = match File::open(path) {
+        Ok(f) => BufReader::new(f),
         Err(e) => {
-            report.push(Diagnostic::new(
-                Code::Srv007,
-                loc,
-                format!("cannot read journal: {e}"),
-            ));
-            scan.report = report;
+            scan.report
+                .push(error(loc, format!("cannot read log: {e}")));
             return scan;
         }
     };
-    let mut reader = BufReader::new(file);
     let mut buf: Vec<u8> = Vec::new();
     let mut offset: u64 = 0;
     let mut lineno: usize = 0;
-    let torn = |report: &mut Report, lineno: usize, offset: u64, why: &str| {
-        report.push(
-            Diagnostic::new(
-                Code::Srv007,
-                format!("{loc}:{}", lineno + 1),
-                format!("torn journal tail: {why} (first corrupt record at byte {offset})"),
-            )
-            .with_help("the daemon was killed mid-write; the intact prefix is recovered"),
-        );
-    };
+    // The first undecodable line — `(line, byte offset, why)`. It is a
+    // torn tail only if nothing but blank lines follows it.
+    let mut bad: Option<(usize, u64, String)> = None;
     loop {
         buf.clear();
         let n = match reader.read_until(b'\n', &mut buf) {
             Ok(0) => break,
             Ok(n) => n,
             Err(e) => {
-                scan.torn_at = Some(offset);
-                torn(&mut report, lineno, offset, &e.to_string());
-                break;
+                scan.report.push(error(
+                    format!("{loc}:{}", lineno + 1),
+                    format!("read failed at byte {offset}: {e}"),
+                ));
+                return scan;
             }
         };
         let line_start = offset;
         offset += n as u64;
         lineno += 1;
-        let terminated = buf.last() == Some(&b'\n');
-        let line = String::from_utf8_lossy(&buf);
-        let line = line.trim();
-        if line.is_empty() {
-            if terminated {
+        if buf.iter().all(u8::is_ascii_whitespace) {
+            if bad.is_none() && buf.last() == Some(&b'\n') {
                 scan.valid_len = offset;
             }
             continue;
         }
-        match Record::from_json(line) {
-            Ok(Some(rec)) => {
-                scan.records.push(rec);
+        if let Some((at_line, at, why)) = bad {
+            scan.report.push(error(
+                format!("{loc}:{at_line}"),
+                format!("corrupt record at byte {at}, before the last line: {why}"),
+            ));
+            return scan;
+        }
+        let decoded = std::str::from_utf8(&buf)
+            .map_err(|e| format!("invalid UTF-8: {e}"))
+            .and_then(|line| decode(line.trim()));
+        match decoded {
+            Ok(rec) => {
+                match rec {
+                    Some(rec) => scan.records.push(rec),
+                    None => scan.report.push(
+                        Diagnostic::new(
+                            code,
+                            format!("{loc}:{lineno}"),
+                            "unknown record type; skipped",
+                        )
+                        .with_severity(Severity::Warning),
+                    ),
+                }
                 scan.valid_len = offset;
                 // An unterminated payload that still parses is durable;
                 // only the `\n` needs repair before appends resume.
-                scan.needs_newline = !terminated;
+                scan.needs_newline = buf.last() != Some(&b'\n');
             }
-            Ok(None) => {
-                report.push(Diagnostic::new(
-                    Code::Srv007,
-                    format!("{loc}:{lineno}"),
-                    "unknown record type; skipped".to_string(),
-                ));
-                scan.valid_len = offset;
-                scan.needs_newline = !terminated;
-            }
-            Err(e) => {
-                scan.torn_at = Some(line_start);
-                torn(&mut report, lineno - 1, line_start, &e);
-                break;
-            }
+            Err(why) => bad = Some((lineno, line_start, why)),
         }
     }
-    // The header gate: a missing or mismatched Meta invalidates the lot.
-    match scan.records.first() {
-        Some(Record::Meta { version, .. }) if *version == JOURNAL_FORMAT_VERSION => {}
-        Some(Record::Meta { version, .. }) => {
-            report.push(
-                Diagnostic::new(
-                    Code::Srv007,
-                    loc,
-                    format!(
-                        "journal format v{version} does not match this build (v{JOURNAL_FORMAT_VERSION})"
-                    ),
-                )
-                .with_severity(corun_verify::Severity::Error),
-            );
-            scan.records.clear();
-        }
-        _ => {
-            report.push(
-                Diagnostic::new(Code::Srv007, loc, "journal has no version header")
-                    .with_severity(corun_verify::Severity::Error),
-            );
-            scan.records.clear();
-        }
+    if let Some((at_line, at, why)) = bad {
+        scan.torn_at = Some(at);
+        scan.report.push(
+            Diagnostic::new(
+                code,
+                format!("{loc}:{at_line}"),
+                format!("torn journal tail: {why} (first corrupt record at byte {at})"),
+            )
+            .with_severity(Severity::Warning)
+            .with_help("the writer was killed mid-write; the intact prefix is recovered"),
+        );
     }
-    report.merge(check_causality(&scan.records));
-    scan.report = report;
     scan
 }
 
-/// Truncate a torn tail off a journal so the file once again ends at a
+/// Scan a service journal: [`scan_log`] under SRV007, then the header
+/// gate (a missing or mismatched `meta` invalidates every record) and
+/// [`check_causality`]. [`read_journal`] is the records-and-report view
+/// of this; recovery uses the full scan to [`repair_tail`] before
+/// reopening the file for appends.
+pub fn scan_journal(path: &Path) -> JournalScan {
+    let mut scan = scan_log(path, Code::Srv007, Record::from_json);
+    let loc = path.display().to_string();
+    let refused = match scan.records.first() {
+        Some(Record::Meta { version, .. }) if *version == JOURNAL_FORMAT_VERSION => None,
+        Some(Record::Meta { version, .. }) => Some(format!(
+            "journal format v{version} does not match this build (v{JOURNAL_FORMAT_VERSION})"
+        )),
+        _ => Some("journal has no version header".to_string()),
+    };
+    if let Some(msg) = refused {
+        scan.report
+            .push(Diagnostic::new(Code::Srv007, loc, msg).with_severity(Severity::Error));
+        scan.records.clear();
+    }
+    scan.report.merge(check_causality(&scan.records));
+    scan
+}
+
+/// Truncate a torn tail off a log so the file once again ends at a
 /// record boundary, and restore a missing final newline. Recovery calls
-/// this (with the scan it already has) before reopening the journal for
+/// this (with the scan it already has) before reopening the log for
 /// appends — otherwise the first post-recovery record would concatenate
 /// onto the torn fragment and corrupt the file for the *next* recovery.
 /// Returns whether the file was modified.
-pub fn repair_tail(path: &Path, scan: &JournalScan) -> std::io::Result<bool> {
+pub fn repair_tail<R>(path: &Path, scan: &LogScan<R>) -> std::io::Result<bool> {
     let mut changed = false;
     if scan.torn_at.is_some() {
         let f = OpenOptions::new().write(true).open(path)?;

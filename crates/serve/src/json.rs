@@ -1,7 +1,7 @@
 //! A minimal JSON value type with a recursive-descent parser and renderer.
 //!
-//! The build environment has no registry access, and the serde shim is
-//! marker-traits only, so the wire format is implemented by hand. The
+//! The build environment has no registry access and the workspace has no
+//! serialization framework, so the wire format is implemented by hand. The
 //! subset is complete for the service protocol: objects, arrays, strings
 //! (with escape sequences incl. `\uXXXX`), f64 numbers, booleans, null.
 

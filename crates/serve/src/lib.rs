@@ -49,8 +49,8 @@ pub mod state;
 
 pub use client::{Client, RetryConfig};
 pub use journal::{
-    check_causality, read_journal, repair_tail, replay, scan_journal, Disposition, Journal,
-    JournalScan, Record, Recovered, RecoveredJob, JOURNAL_FORMAT_VERSION,
+    check_causality, read_journal, repair_tail, replay, scan_journal, scan_log, Disposition,
+    Journal, JournalScan, LogScan, Record, Recovered, RecoveredJob, JOURNAL_FORMAT_VERSION,
 };
 pub use json::Json;
 pub use protocol::{handle_request, PROTOCOL_VERSION};

@@ -806,6 +806,7 @@ fn boot_nonce() -> u64 {
 /// asked and possible, create-fresh otherwise. Any recovery problem is
 /// reported (SRV007/SRV009) and recovery abandoned wholesale — a partial
 /// replay could mis-align job ids, which is worse than starting clean.
+/// An abandoned journal is renamed to `<path>.abandoned`, never truncated.
 fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
     let Some(path) = &cfg.journal_path else {
         return;
@@ -900,6 +901,23 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
                 ),
             }
             return;
+        }
+        // Keep an unrecoverable journal with intact records for
+        // inspection instead of truncating it away.
+        if scan.valid_len > 0 {
+            let mut kept = path.clone().into_os_string();
+            kept.push(".abandoned");
+            if let Err(e) = std::fs::rename(path, &kept) {
+                inner.chaos_push(
+                    Diagnostic::new(
+                        Code::Srv007,
+                        path.display().to_string(),
+                        format!("cannot set the abandoned journal aside: {e}; journaling disabled"),
+                    )
+                    .with_severity(Severity::Error),
+                );
+                return;
+            }
         }
     }
     match Journal::create(path, cfg.machines) {

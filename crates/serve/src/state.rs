@@ -25,6 +25,7 @@
 //! diagnostics they surface as.
 
 use crate::journal::{Disposition, Record, Recovered};
+use apu_sim::hash::Fnv;
 use apu_sim::Device;
 use corun_core::{JobId, RequeueOutcome, RetryPolicy};
 use std::collections::VecDeque;
@@ -890,37 +891,6 @@ impl ServiceState {
             h.u64(c as u64);
         }
         h.finish()
-    }
-}
-
-/// FNV-1a, 64-bit. Deterministic across runs and platforms (no
-/// `RandomState`), which keeps model-checking traces reproducible.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.bytes() {
-            self.byte(b);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -7,8 +7,9 @@
 //! kill between fsyncs) and at arbitrary bytes (a torn tail mid-write).
 
 use corun_core::RetryPolicy;
-use corun_serve::journal::{read_journal, replay, Disposition};
+use corun_serve::journal::{read_journal, replay, scan_journal, Disposition};
 use corun_serve::{JobState, Service, ServiceConfig};
+use corun_verify::Code;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -154,6 +155,40 @@ proptest! {
         recover_and_check(&path);
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// A corrupt record with committed records after it is corruption, not
+/// a torn tail: the scan reports an SRV007 error, recovery is abandoned
+/// without re-dispatching the job the journal records as done, and the
+/// journal is set aside byte for byte instead of truncated.
+#[test]
+fn mid_file_corruption_abandons_recovery_and_keeps_the_journal() {
+    let path = temp_journal("midfile");
+    let mut bytes = run_and_capture(&path, "srad x0.05\n");
+    let text = String::from_utf8(bytes.clone()).expect("utf-8 journal");
+    let at = text.find(r#""t":"dispatch""#).expect("a dispatch record");
+    assert!(
+        text[at..].contains(r#""t":"done""#),
+        "done follows dispatch"
+    );
+    bytes[at + 1] = b'#'; // `{"#":"dispatch",...}`: no record type
+    std::fs::write(&path, &bytes).expect("corrupt");
+
+    let scan = scan_journal(&path);
+    assert!(scan.report.has(Code::Srv007));
+    assert!(scan.report.has_errors(), "{}", scan.report.render_human());
+    assert_eq!(scan.torn_at, None, "mid-file corruption is not a torn tail");
+
+    let svc = Service::start(journaled_cfg(&path, true));
+    assert!(svc.chaos_report().has_errors());
+    assert_eq!(svc.job_count(), 0, "the done job must not be re-dispatched");
+    svc.shutdown();
+    drop(svc);
+    let mut kept = path.clone().into_os_string();
+    kept.push(".abandoned");
+    assert_eq!(std::fs::read(&kept).expect("abandoned journal kept"), bytes);
+    std::fs::remove_file(&kept).ok();
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -57,15 +57,8 @@ fn fleet_rate(
     jobs: usize,
 ) -> f64 {
     let tpl = template(cache);
-    let backends = start_local_shards(
-        &tpl,
-        shards,
-        machines_per_shard,
-        None,
-        |_| None,
-        NetConfig::default(),
-        None,
-    );
+    let net = NetConfig::default();
+    let backends = start_local_shards(&tpl, shards, machines_per_shard, None, |_| None, net, None);
     let mut cfg = FleetConfig::new(shards, machines_per_shard, 15.0 * shards as f64);
     cfg.queue_high_water = 10_000;
     cfg.submit_burst = 256;

@@ -534,7 +534,7 @@ impl Fleet {
             // The round polled shard metrics *before* folding. Poll again
             // on the round that drains the fleet, so a report taken now
             // pairs the folds with shard counters no older than them.
-            self.poll_shards();
+            self.refresh_metrics_cache();
         }
         if self.cfg.paranoid {
             self.router.check_books();
@@ -789,6 +789,20 @@ impl Fleet {
                 } else {
                     0
                 };
+        }
+    }
+
+    /// Re-read shard metrics into the cache only. Breakers, probes and
+    /// the placement view stay with the round-start [`Self::poll_shards`],
+    /// so a failed read here neither counts against a breaker twice in
+    /// one round nor pays a timeout on an open circuit.
+    fn refresh_metrics_cache(&mut self) {
+        for s in 0..self.cfg.shards {
+            if self.breakers[s].state != Circuit::Dead {
+                if let Ok(m) = self.shards[s].metrics() {
+                    self.metrics_cache[s] = m;
+                }
+            }
         }
     }
 

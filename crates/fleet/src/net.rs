@@ -97,10 +97,10 @@ pub trait RawTransport: Send {
     /// Drop any broken connection state and re-establish.
     fn reconnect(&mut self) -> Result<(), NetError>;
 
-    /// Bring a shard back after it was seen dead: restart it if this
-    /// transport owns the service, else (the default) just reconnect to
-    /// a daemon restarted out of band.
-    fn revive(&mut self) -> Result<(), NetError> {
+    /// Bring a shard back after it was seen dead: restart it under
+    /// `cap_w` if this transport owns the service, else (the default)
+    /// just reconnect to a daemon restarted out of band.
+    fn revive(&mut self, _cap_w: f64) -> Result<(), NetError> {
         self.reconnect()
     }
 
@@ -247,10 +247,11 @@ impl RawTransport for LocalRaw {
         Ok(())
     }
 
-    /// Restart a crashed service from its journal. A service with live
+    /// Restart a crashed service from its journal under `cap_w`, so its
+    /// workers never dispatch under a stale cap. A service with live
     /// workers was only unreachable (a partition, not a crash), so it is
     /// left alone; a dead one without a journal cannot be recovered.
-    fn revive(&mut self) -> Result<(), NetError> {
+    fn revive(&mut self, cap_w: f64) -> Result<(), NetError> {
         if self.service.metrics().workers_alive > 0 {
             return Ok(());
         }
@@ -263,6 +264,9 @@ impl RawTransport for LocalRaw {
         // The workers are already dead; shutdown only reaps the threads.
         self.service.shutdown();
         cfg.recover = true;
+        if cap_w.is_finite() && cap_w > 0.0 {
+            cfg.cap_w = cap_w;
+        }
         // The injected faults already fired in the dead incarnation;
         // replaying them would crash the recovered shard at the same
         // simulated instants forever.
@@ -552,9 +556,9 @@ impl<T: RawTransport> RawTransport for FaultyRaw<T> {
         self.inner.reconnect()
     }
 
-    fn revive(&mut self) -> Result<(), NetError> {
+    fn revive(&mut self, cap_w: f64) -> Result<(), NetError> {
         self.stale = None;
-        self.inner.revive()
+        self.inner.revive(cap_w)
     }
 
     fn peer(&self) -> String {
@@ -955,7 +959,7 @@ impl<T: RawTransport> ShardBackend for RpcShard<T> {
     }
 
     fn recover(&mut self, cap_w: f64) -> Result<(), String> {
-        self.raw.revive().map_err(|e| e.to_string())?;
+        self.raw.revive(cap_w).map_err(|e| e.to_string())?;
         let r = self
             .call(vec![("op", Json::Str("ping".into()))])
             .map_err(|e| e.to_string())?;
@@ -970,11 +974,6 @@ impl<T: RawTransport> ShardBackend for RpcShard<T> {
 
     fn begin_shutdown(&mut self) {
         let _ = self.call(vec![("op", Json::Str("shutdown".into()))]);
-    }
-
-    fn finish(&mut self) {
-        // Remote daemons outlive the coordinator; an in-process service
-        // drains and joins its workers when its last handle drops.
     }
 
     fn kind(&self) -> &'static str {
@@ -1074,21 +1073,22 @@ mod tests {
         // Live workers: the shard was merely unreachable; nothing restarts.
         let live = small_service(None, false);
         let mut raw = LocalRaw::new(Arc::clone(&live));
-        raw.revive().expect("a live service needs no revival");
+        raw.revive(9.0).expect("a live service needs no revival");
         assert!(Arc::ptr_eq(raw.service(), &live));
 
         // Dead without a journal: nothing to recover from.
         let mut raw = LocalRaw::new(small_service(None, true));
-        assert!(raw.revive().is_err());
+        assert!(raw.revive(9.0).is_err());
 
         // Dead with a journal: restarted from it, faults not replayed.
         let journal =
             std::env::temp_dir().join(format!("corun-net-revive-{}.jsonl", std::process::id()));
         let dead = small_service(Some(journal.clone()), true);
         let mut raw = LocalRaw::new(Arc::clone(&dead));
-        raw.revive().expect("revive from the journal");
+        raw.revive(7.5).expect("revive from the journal");
         let revived = raw.service();
         assert!(!Arc::ptr_eq(revived, &dead));
+        assert_eq!(revived.cap_w(), 7.5, "restarted under the cap passed in");
         assert!(revived.config().recover);
         assert!(revived.config().fault_plan.is_none());
         assert_eq!(revived.epoch(), dead.epoch() + 1, "one recovery boundary");

@@ -110,8 +110,11 @@ pub trait ShardBackend: Send {
     /// Ask the shard to stop accepting work and drain.
     fn begin_shutdown(&mut self);
 
-    /// Block until the shard is fully stopped.
-    fn finish(&mut self);
+    /// Block until the shard is fully stopped. Nothing to wait for by
+    /// default: remote daemons outlive the coordinator, and an
+    /// in-process service drains and joins its workers when its last
+    /// handle drops.
+    fn finish(&mut self) {}
 
     /// `"local"` or `"remote"`, for status output.
     fn kind(&self) -> &'static str;
@@ -120,15 +123,10 @@ pub trait ShardBackend: Send {
     /// boot nonce or a higher fencing epoch — i.e. it restarted or
     /// recovered behind the coordinator's back. The coordinator must
     /// re-resolve every outstanding job it had on the shard.
-    fn take_incarnation_change(&mut self) -> bool {
-        false
-    }
+    fn take_incarnation_change(&mut self) -> bool;
 
-    /// Transport-level RPC counters (zero for backends without a
-    /// transport).
-    fn rpc_stats(&self) -> RpcSnapshot {
-        RpcSnapshot::default()
-    }
+    /// Transport-level RPC counters.
+    fn rpc_stats(&self) -> RpcSnapshot;
 }
 
 /// Start `shards` in-process shards from one [`ServiceConfig`]

@@ -7,7 +7,9 @@
 //! gated behind `CORUN_FLEET_FULL=1`; the default tests exercise the
 //! same paths at a size a one-core CI box drains in seconds.
 
-use corun_fleet::{start_local_shards, Fleet, FleetConfig, FleetMetrics, NetConfig, PlacementKind};
+use corun_fleet::{
+    start_local_shards, Fleet, FleetConfig, FleetMetrics, NetConfig, PlacementKind, ShardBackend,
+};
 use corun_serve::ServiceConfig;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,6 +32,19 @@ fn shard_template(dir: &Path) -> ServiceConfig {
     cfg.queue_capacity = 32;
     cfg.cache_dir = Some(dir.join("cache"));
     cfg
+}
+
+/// In-process shards over the RPC stack with default deadlines and no
+/// network faults; shard `s` runs `plan(s)`.
+fn local_shards(
+    template: &ServiceConfig,
+    shards: usize,
+    machines: usize,
+    dir: Option<&Path>,
+    plan: impl FnMut(usize) -> Option<apu_sim::FaultPlan>,
+) -> Vec<Box<dyn ShardBackend>> {
+    let net = NetConfig::default();
+    start_local_shards(template, shards, machines, dir, plan, net, None)
 }
 
 /// Every admitted job terminal, books balanced, cap invariant held for
@@ -76,8 +91,7 @@ fn fleet_drains_without_faults() {
     let dir = temp_dir("steady");
     let template = shard_template(&dir);
     for placement in [PlacementKind::Ring, PlacementKind::LeastLoaded] {
-        let backends =
-            start_local_shards(&template, 3, 2, None, |_| None, NetConfig::default(), None);
+        let backends = local_shards(&template, 3, 2, None, |_| None);
         let mut cfg = FleetConfig::new(3, 2, 60.0);
         cfg.placement = placement;
         cfg.paranoid = true;
@@ -104,19 +118,11 @@ fn crashed_shard_recovers_from_journal_and_books_balance() {
     // Both of the victim's machines stop dead early in simulated time;
     // the shard reads dead (workers_alive == 0) and the coordinator
     // restarts it from its journal.
-    let backends = start_local_shards(
-        &template,
-        SHARDS,
-        2,
-        Some(&dir),
-        |s| {
-            (s == VICTIM).then(|| {
-                apu_sim::FaultPlan::parse("@chaos seed=5 crash=0:2 crash=1:2\n").expect("plan")
-            })
-        },
-        NetConfig::default(),
-        None,
-    );
+    let backends = local_shards(&template, SHARDS, 2, Some(&dir), |s| {
+        (s == VICTIM).then(|| {
+            apu_sim::FaultPlan::parse("@chaos seed=5 crash=0:2 crash=1:2\n").expect("plan")
+        })
+    });
     let mut cfg = FleetConfig::new(SHARDS, 2, 80.0);
     cfg.paranoid = true;
     cfg.recover_backoff_rounds = 5;
@@ -147,15 +153,9 @@ fn crashed_shard_recovers_from_journal_and_books_balance() {
 fn recovered_shard_runs_under_a_fresh_cap() {
     let dir = temp_dir("cap");
     let template = shard_template(&dir);
-    let backends = start_local_shards(
-        &template,
-        2,
-        1,
-        Some(&dir),
-        |s| (s == 0).then(|| apu_sim::FaultPlan::parse("@chaos seed=3 crash=0:2\n").expect("plan")),
-        NetConfig::default(),
-        None,
-    );
+    let backends = local_shards(&template, 2, 1, Some(&dir), |s| {
+        (s == 0).then(|| apu_sim::FaultPlan::parse("@chaos seed=3 crash=0:2\n").expect("plan"))
+    });
     let mut cfg = FleetConfig::new(2, 1, 40.0);
     cfg.paranoid = true;
     cfg.recover_backoff_rounds = 3;
@@ -199,20 +199,12 @@ fn event_driven_fleet_smoke_drains_20k_jobs() {
     const SHARDS: usize = 8;
     const MACHINES: usize = 16;
     const JOBS: usize = 20_000;
-    let backends = start_local_shards(
-        &template,
-        SHARDS,
-        MACHINES,
-        Some(&dir),
-        |s| {
-            (s == 2).then(|| {
-                let plan: String = (0..MACHINES).map(|m| format!(" crash={m}:5")).collect();
-                apu_sim::FaultPlan::parse(&format!("@chaos seed=7{plan}\n")).expect("plan")
-            })
-        },
-        NetConfig::default(),
-        None,
-    );
+    let backends = local_shards(&template, SHARDS, MACHINES, Some(&dir), |s| {
+        (s == 2).then(|| {
+            let plan: String = (0..MACHINES).map(|m| format!(" crash={m}:5")).collect();
+            apu_sim::FaultPlan::parse(&format!("@chaos seed=7{plan}\n")).expect("plan")
+        })
+    });
     // 20 W per shard on average with a 15 W floor: the load-proportional
     // partitioner must never pin a shard below the level at which the
     // workload stays cap-feasible, or its submissions bounce as
@@ -251,20 +243,12 @@ fn full_scale_fleet_drains_100k_jobs_under_chaos() {
     const SHARDS: usize = 32;
     const MACHINES: usize = 32;
     const JOBS: usize = 100_000;
-    let backends = start_local_shards(
-        &template,
-        SHARDS,
-        MACHINES,
-        Some(&dir),
-        |s| {
-            (s == 3).then(|| {
-                let plan: String = (0..MACHINES).map(|m| format!(" crash={m}:5")).collect();
-                apu_sim::FaultPlan::parse(&format!("@chaos seed=9{plan}\n")).expect("plan")
-            })
-        },
-        NetConfig::default(),
-        None,
-    );
+    let backends = local_shards(&template, SHARDS, MACHINES, Some(&dir), |s| {
+        (s == 3).then(|| {
+            let plan: String = (0..MACHINES).map(|m| format!(" crash={m}:5")).collect();
+            apu_sim::FaultPlan::parse(&format!("@chaos seed=9{plan}\n")).expect("plan")
+        })
+    });
     let mut cfg = FleetConfig::new(SHARDS, MACHINES, 32.0 * 15.0);
     cfg.recover_backoff_rounds = 20;
     let mut fleet = Fleet::new(cfg, backends).expect("fleet");

@@ -806,7 +806,8 @@ fn boot_nonce() -> u64 {
 /// asked and possible, create-fresh otherwise. Any recovery problem is
 /// reported (SRV007/SRV009) and recovery abandoned wholesale — a partial
 /// replay could mis-align job ids, which is worse than starting clean.
-/// An abandoned journal is renamed to `<path>.abandoned`, never truncated.
+/// A non-empty abandoned journal is renamed to the first free
+/// `<path>.abandoned[.N]`, never truncated.
 fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
     let Some(path) = &cfg.journal_path else {
         return;
@@ -902,12 +903,10 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
             }
             return;
         }
-        // Keep an unrecoverable journal with intact records for
-        // inspection instead of truncating it away.
-        if scan.valid_len > 0 {
-            let mut kept = path.clone().into_os_string();
-            kept.push(".abandoned");
-            if let Err(e) = std::fs::rename(path, &kept) {
+        // Keep an unrecoverable journal for inspection instead of
+        // truncating it away, whatever state its first line is in.
+        if std::fs::metadata(path).is_ok_and(|m| m.len() > 0) {
+            if let Err(e) = set_aside(path) {
                 inner.chaos_push(
                     Diagnostic::new(
                         Code::Srv007,
@@ -931,6 +930,24 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
             .with_severity(Severity::Error),
         ),
     }
+}
+
+/// Rename an abandoned journal to the first free `<path>.abandoned`,
+/// `<path>.abandoned.1`, ... so an earlier abandoned journal is never
+/// overwritten.
+fn set_aside(path: &std::path::Path) -> std::io::Result<()> {
+    let kept = (0u32..)
+        .map(|n| {
+            let mut kept = path.as_os_str().to_owned();
+            kept.push(".abandoned");
+            if n > 0 {
+                kept.push(format!(".{n}"));
+            }
+            std::path::PathBuf::from(kept)
+        })
+        .find(|kept| !kept.exists())
+        .expect("a free name");
+    std::fs::rename(path, kept)
 }
 
 /// Fold a successful replay into the fresh `Inner`: re-admit every job

@@ -160,35 +160,45 @@ proptest! {
 /// A corrupt record with committed records after it is corruption, not
 /// a torn tail: the scan reports an SRV007 error, recovery is abandoned
 /// without re-dispatching the job the journal records as done, and the
-/// journal is set aside byte for byte instead of truncated.
+/// journal is set aside byte for byte instead of truncated — also when
+/// the corrupt line is the header, and never over an earlier one.
 #[test]
 fn mid_file_corruption_abandons_recovery_and_keeps_the_journal() {
     let path = temp_journal("midfile");
-    let mut bytes = run_and_capture(&path, "srad x0.05\n");
-    let text = String::from_utf8(bytes.clone()).expect("utf-8 journal");
+    let clean = run_and_capture(&path, "srad x0.05\n");
+    let text = String::from_utf8(clean.clone()).expect("utf-8 journal");
     let at = text.find(r#""t":"dispatch""#).expect("a dispatch record");
     assert!(
         text[at..].contains(r#""t":"done""#),
         "done follows dispatch"
     );
-    bytes[at + 1] = b'#'; // `{"#":"dispatch",...}`: no record type
-    std::fs::write(&path, &bytes).expect("corrupt");
+    let kept = |suffix: &str| {
+        let mut kept = path.clone().into_os_string();
+        kept.push(suffix);
+        PathBuf::from(kept)
+    };
+    // `{"#":"dispatch",...}` has no record type; `{#t":"meta",...}` no
+    // longer parses at all.
+    for (byte, suffix) in [(at + 1, ".abandoned"), (1, ".abandoned.1")] {
+        let mut bytes = clean.clone();
+        bytes[byte] = b'#';
+        std::fs::write(&path, &bytes).expect("corrupt");
 
-    let scan = scan_journal(&path);
-    assert!(scan.report.has(Code::Srv007));
-    assert!(scan.report.has_errors(), "{}", scan.report.render_human());
-    assert_eq!(scan.torn_at, None, "mid-file corruption is not a torn tail");
+        let scan = scan_journal(&path);
+        assert!(scan.report.has(Code::Srv007));
+        assert!(scan.report.has_errors(), "{}", scan.report.render_human());
+        assert_eq!(scan.torn_at, None, "mid-file corruption is not a torn tail");
 
-    let svc = Service::start(journaled_cfg(&path, true));
-    assert!(svc.chaos_report().has_errors());
-    assert_eq!(svc.job_count(), 0, "the done job must not be re-dispatched");
-    svc.shutdown();
-    drop(svc);
-    let mut kept = path.clone().into_os_string();
-    kept.push(".abandoned");
-    assert_eq!(std::fs::read(&kept).expect("abandoned journal kept"), bytes);
-    std::fs::remove_file(&kept).ok();
-    std::fs::remove_file(&path).ok();
+        let svc = Service::start(journaled_cfg(&path, true));
+        assert!(svc.chaos_report().has_errors());
+        assert_eq!(svc.job_count(), 0, "the done job must not be re-dispatched");
+        svc.shutdown();
+        drop(svc);
+        assert_eq!(std::fs::read(kept(suffix)).expect("journal kept"), bytes);
+    }
+    for suffix in [".abandoned", ".abandoned.1", ""] {
+        std::fs::remove_file(kept(suffix)).ok();
+    }
 }
 
 #[test]
